@@ -9,7 +9,11 @@
 //!   MULTI-SW row), a monolithic-vs-sequential-vs-portfolio-vs-cached
 //!   comparison on the hardest case (LB MULTI-SW at k = 16) and a
 //!   `rollout` section (p50 transactional prepare+commit latency applying
-//!   a failover placement to the running k = 16 LB deployment);
+//!   a failover placement to the running k = 16 LB deployment), and a
+//!   `failover_recompile` section setting `recompile_for_faults` beside a
+//!   cold compile of the same pod (NetCache and LB MULTI-SW at k = 8 / 16 /
+//!   32, ToR1 and Agg1 kills) with the churn and the solve route of each
+//!   recompile;
 //! * `BENCH_fig9.json` — per-program median compile time, conflicts, and
 //!   synthesis-cache hit rate on a single-switch target.
 //!
@@ -24,8 +28,9 @@
 //! `BENCH_fig10.json` baseline — CI's cheap performance-regression
 //! tripwire. Two datacenter-scale tripwires ride along: NetCache MULTI-SW
 //! must stay within 2× of its snapshot at k = 16 and under one second
-//! absolute at k = 32. The data-plane tripwire also runs: the compiled
-//! engine must beat the interpreter by a fixed floor and a lossy rollout
+//! absolute at k = 32, and its k = 16 ToR1 failover recompile must stay
+//! within 2× of a cold compile of the same pod. The data-plane tripwire
+//! also runs: the compiled engine must beat the interpreter by a fixed floor and a lossy rollout
 //! under traffic must show zero mixed-epoch exposure. `--pps-smoke` runs
 //! only that data-plane tripwire.
 
@@ -294,7 +299,117 @@ fn record_fig10() -> Object {
     root.push("rollout", Value::Object(record_rollout()));
     root.push("recovery", Value::Object(record_recovery()));
     root.push("mttr", Value::Object(record_mttr()));
+    root.push(
+        "failover_recompile",
+        Value::Array(record_failover_recompile()),
+    );
     root
+}
+
+/// Pod sizes of the `failover_recompile` rows.
+const RECOMPILE_KS: [usize; 3] = [8, 16, 32];
+/// The switch each `failover_recompile` row kills.
+const RECOMPILE_VICTIMS: [&str; 2] = ["ToR1", "Agg1"];
+
+/// One failover recompile set against a cold compile of the same pod.
+struct RecompileRow {
+    victim: &'static str,
+    cold: Duration,
+    recompile: Duration,
+    entry_churn: u64,
+    instr_churn: usize,
+    quotient: bool,
+}
+
+/// Median wall time of a cold compile of `case` on the k-pod, and of
+/// `recompile_for_faults` from that compile for each of `victims`, every
+/// sample on a fresh `Compiler` so no warm-start clause store carries
+/// over. Both run the fast profile: one sequential search, so wall time
+/// tracks CPU time.
+fn measure_failover_recompile(
+    case: &Case,
+    k: usize,
+    victims: &[&'static str],
+    samples: usize,
+) -> Vec<RecompileRow> {
+    let scopes = scopes_for(k, &case.program, case.multi);
+    let req = CompileRequest::new(&case.program, &scopes, pod(k))
+        .with_solve_profile(SolveProfile::fast());
+    let (cold, prior) = median_wall(samples, || {
+        Compiler::new()
+            .compile(&req)
+            .expect("benchmark pod compiles")
+    });
+    victims
+        .iter()
+        .map(|&victim| {
+            let faults = FaultSet::new().with_switch(victim);
+            let (recompile, r) = median_wall(samples, || {
+                Compiler::new()
+                    .recompile_for_faults(&req, &prior, &faults)
+                    .expect("single-switch failover recompiles")
+            });
+            RecompileRow {
+                victim,
+                cold,
+                recompile,
+                entry_churn: r.diff.entry_churn(),
+                instr_churn: r.diff.total_churn(),
+                quotient: r.output.stats.quotient,
+            }
+        })
+        .collect()
+}
+
+/// Median wall time of `samples` runs of `f`, and the last run's result.
+fn median_wall<T>(samples: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
+    let mut times = Vec::with_capacity(samples);
+    let mut last = None;
+    for _ in 0..samples.max(1) {
+        let t = Instant::now();
+        last = Some(f());
+        times.push(t.elapsed());
+    }
+    times.sort();
+    (times[times.len() / 2], last.expect("at least one sample"))
+}
+
+fn record_failover_recompile() -> Vec<Value> {
+    let mut rows = Vec::new();
+    for case in cases().into_iter().filter(|c| c.multi) {
+        for k in RECOMPILE_KS {
+            for row in measure_failover_recompile(&case, k, &RECOMPILE_VICTIMS, SAMPLES) {
+                let ratio = ms(row.recompile) / ms(row.cold).max(1e-9);
+                let route = if row.quotient {
+                    "quotient"
+                } else {
+                    "monolithic"
+                };
+                println!(
+                    "recompile {:<20} k={k:<3} kill {:<5} cold {:>9.1?}  recompile {:>9.1?} \
+                     ({ratio:.2}x, {route})  churn {} entries / {} instrs",
+                    case.name,
+                    row.victim,
+                    row.cold,
+                    row.recompile,
+                    row.entry_churn,
+                    row.instr_churn
+                );
+                let mut o = Object::new();
+                o.push("name", Value::str(case.name));
+                o.push("k", Value::Number(k as f64));
+                o.push("victim", Value::str(row.victim));
+                o.push("cold_ms", Value::Number(ms(row.cold)));
+                o.push("recompile_ms", Value::Number(ms(row.recompile)));
+                o.push("ratio", Value::Number(ratio));
+                o.push("entry_churn", Value::Number(row.entry_churn as f64));
+                o.push("instr_churn", Value::Number(row.instr_churn as f64));
+                o.push("route", Value::str(route));
+                rows.push(Value::Object(o));
+            }
+        }
+    }
+    rows
 }
 
 /// Entries installed before each measured rollout, spread across keys.
@@ -1234,6 +1349,27 @@ fn smoke() -> usize {
             bound
         );
         if ms(m.median) > bound {
+            failures += 1;
+        }
+    }
+
+    // Failover-recompile tripwire: a k = 16 NetCache ToR1 recompile must
+    // cost at most 2x a cold compile of the same pod (plus the scale
+    // grace). Falling off the quotient path sends it back to the
+    // monolithic hinted encoding, tens of times the cold compile.
+    for row in measure_failover_recompile(&nc, 16, &RECOMPILE_VICTIMS[..1], 3) {
+        let bound = ms(row.cold) * SMOKE_SCALE_FACTOR + SMOKE_SCALE_GRACE_MS;
+        let regressed = ms(row.recompile) > bound;
+        println!(
+            "smoke recompile {} k=16 kill {}: {:.1} ms vs cold {:.1} ms (bound {bound:.1} ms, {}) {}",
+            nc.name,
+            row.victim,
+            ms(row.recompile),
+            ms(row.cold),
+            if row.quotient { "quotient" } else { "monolithic" },
+            if regressed { "REGRESSED" } else { "ok" }
+        );
+        if regressed {
             failures += 1;
         }
     }

@@ -241,6 +241,11 @@ pub struct CompileStats {
     pub warm_hits: u64,
     /// Warm-start clause-store misses this compile.
     pub warm_misses: u64,
+    /// True when the placement came from the quotient fast path (a solve
+    /// over interchangeable-switch class representatives, replicated and
+    /// verified against the full model) rather than the monolithic solve.
+    /// A synthesis-cache hit reports the route of the run that filled it.
+    pub quotient: bool,
 }
 
 impl CompileStats {
@@ -388,6 +393,7 @@ impl CompileSession {
             "workers_cancelled",
             Value::Number(self.solver.workers_cancelled as f64),
         );
+        solver.push("quotient", Value::Bool(self.stats.quotient));
         let mut cache = Object::new();
         cache.push("hits", Value::Number(self.stats.synth_cache_hits as f64));
         cache.push(
@@ -898,6 +904,8 @@ impl Compiler {
             .all(|s| s.deploy == lyra_lang::DeployMode::PerSwitch)
             && matches!(self.encode.objective, Objective::Feasible);
         let t1 = Instant::now();
+        // The PER-SW path solves single-switch scopes, never the quotient.
+        let mut quotient = false;
         let (placement, artifacts, solver, t_synth, t_codegen, hits, misses, degraded) =
             if all_per_sw {
                 self.compile_per_switch(&ir, req, &resolved, &encode_opts, &limits)?
@@ -943,6 +951,7 @@ impl Compiler {
                 // A hit's rung (always `None` by the cache invariant) must
                 // not be confused with this compile's own outcome.
                 let degraded = if was_hit { None } else { synth.degraded };
+                quotient = synth.quotient;
                 (
                     synth.placement.clone(),
                     artifacts?,
@@ -958,6 +967,7 @@ impl Compiler {
         stats.codegen = t_codegen;
         stats.synth_cache_hits = hits;
         stats.synth_cache_misses = misses;
+        stats.quotient = quotient;
         stats.warm_hits = self.warm.hit_count().saturating_sub(warm_before.0);
         stats.warm_misses = self.warm.miss_count().saturating_sub(warm_before.1);
 

@@ -106,3 +106,59 @@ fn incremental_recompile_agrees_with_fresh_compile_semantics() {
     assert!(conn >= 1024, "conn_table under-placed: {conn}");
     assert_eq!(first.artifacts.len(), second.artifacts.len());
 }
+
+/// Failover recompiles of a quotient-compiled pod stay on the quotient
+/// fast path: the prior placement is uniform across each survivor class,
+/// so its stability hints map onto the class representatives and the
+/// recompile keeps the churn the monolithic hinted solve produced.
+#[test]
+fn netcache_k16_failover_recompiles_take_the_quotient_and_keep_churn() {
+    let program = lyra_apps::programs::netcache();
+    let aggs: Vec<String> = (1..=8).map(|i| format!("Agg{i}")).collect();
+    let tors: Vec<String> = (1..=8).map(|i| format!("ToR{i}")).collect();
+    let scopes = format!(
+        "netcache: [ ToR*,Agg* | MULTI-SW | ({}->{}) ]",
+        aggs.join(","),
+        tors.join(",")
+    );
+    let req = CompileRequest::new(
+        &program,
+        &scopes,
+        lyra_topo::fat_tree_pod(16, "tofino-32q", "trident4"),
+    )
+    .with_solve_profile(SolveProfile::fast());
+    let compiler = Compiler::new();
+    let prior = compiler.compile(&req).unwrap();
+    assert!(
+        prior.stats.quotient,
+        "the cold k=16 compile takes the quotient"
+    );
+
+    // (victim, entry churn, instruction churn): the counts the monolithic
+    // hinted recompile produced before hinted re-solves took the quotient.
+    for (victim, entries, instrs) in [("ToR1", 65_536, 65), ("Agg1", 0, 0)] {
+        let r = compiler
+            .recompile_for_faults(
+                &req,
+                &prior,
+                &lyra_topo::FaultSet::new().with_switch(victim),
+            )
+            .unwrap();
+        assert!(
+            r.output.stats.quotient,
+            "{victim} recompile fell off the quotient path"
+        );
+        assert!(r.output.degraded.is_none());
+        assert_eq!(r.diff.entry_churn(), entries, "{victim} entry churn");
+        assert_eq!(r.diff.total_churn(), instrs, "{victim} instruction churn");
+        let session = r.output.session().to_json();
+        assert_eq!(
+            session
+                .get("solver")
+                .and_then(|s| s.get("quotient"))
+                .and_then(|q| q.as_bool()),
+            Some(true),
+            "the route reaches the session JSON"
+        );
+    }
+}

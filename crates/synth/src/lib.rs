@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use lyra_diag::{codes, Diagnostic};
 use lyra_ir::IrProgram;
-use lyra_solver::{ClauseStore, Outcome, SearchStats, Solution};
+use lyra_solver::{BoolId, ClauseStore, IntId, Outcome, SearchStats, Solution};
 use lyra_topo::{interchangeable_classes, ResolvedScope, SwitchId, Topology};
 
 /// Synthesis failure.
@@ -163,6 +163,10 @@ pub struct SynthResult {
     /// Which degradation-ladder rung produced this result; `None` when the
     /// requested strategy solved within its limits.
     pub degraded: Option<DegradeRung>,
+    /// True when the quotient fast path produced this result (a solve over
+    /// class representatives, replicated and verified against the full
+    /// model); false when the monolithic encoding was solved.
+    pub quotient: bool,
 }
 
 /// Run the full back-end: synthesize conditional implementations, encode,
@@ -400,12 +404,13 @@ pub fn synthesize_limited(
     // verify against the full model. Any failure (ineligible topology,
     // solver timeout, verification mismatch) falls through to the
     // monolithic ladder below — the quotient can only ever *add* a faster
-    // route to the same verified answer. Incremental re-solves (with a
-    // previous placement as hints) stay monolithic: replication would
-    // override the stability hints.
+    // route to the same verified answer. Incremental re-solves take it
+    // too, on the classes of the topology they solve over (for a failover
+    // recompile, the survivors), provided the previous placement is
+    // uniform across every class: the representative's hints then stand
+    // for every member, so stability hints and replication agree.
     let mut quotient_stats = SearchStats::default();
     if limits.decomposition
-        && previous.is_none()
         && !opts.stage_detail
         && opts.objective == Objective::Feasible
         && scopes
@@ -413,9 +418,10 @@ pub fn synthesize_limited(
             .any(|s| s.deploy == lyra_lang::DeployMode::MultiSwitch)
     {
         let classes = interchangeable_classes(topo, scopes);
-        if !classes.is_empty() {
-            let (result, stats) =
-                try_quotient(ir, topo, scopes, opts, backend, strategy, limits, &classes);
+        if !classes.is_empty() && previous.is_none_or(|p| uniform_across(p, topo, &classes)) {
+            let (result, stats) = try_quotient(
+                ir, topo, scopes, opts, backend, strategy, previous, limits, &classes,
+            );
             match result {
                 Some(res) => return Ok(res),
                 // Carry any effort the failed attempt spent into the
@@ -426,45 +432,7 @@ pub fn synthesize_limited(
     }
 
     let enc = encode(ir, topo, scopes, opts).map_err(SynthError::Encode)?;
-    let hints: Vec<(lyra_solver::BoolId, bool)> = match previous {
-        Some(prev) => enc
-            .instr_var
-            .iter()
-            .map(|((alg, sw, instr), &var)| {
-                let name = &topo.switch(*sw).name;
-                let was_there = prev
-                    .switches
-                    .get(name)
-                    .and_then(|p| p.instrs.get(alg))
-                    .map(|is| is.contains(instr))
-                    .unwrap_or(false);
-                (var, was_there)
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-    // Integer stability hints: the previous placement's per-switch entry
-    // shard sizes, keyed to this encoding's extern-count variables. The
-    // solver branches to these sizes first where the new topology still
-    // admits them, so a fault re-plan moves only the entries the fault
-    // forces to move instead of re-dealing every shard from scratch.
-    let int_hints: Vec<(lyra_solver::IntId, i64)> = match previous {
-        Some(prev) => enc
-            .extern_var
-            .iter()
-            .map(|((e, sw), &var)| {
-                let name = &topo.switch(*sw).name;
-                let count = prev
-                    .switches
-                    .get(name)
-                    .and_then(|p| p.extern_entries.get(e))
-                    .copied()
-                    .unwrap_or(0);
-                (var, count as i64)
-            })
-            .collect(),
-        None => Vec::new(),
-    };
+    let (hints, int_hints) = stability_hints(&enc, topo, previous);
 
     // Rung 1: the requested strategy under the configured limits.
     let mut total = quotient_stats;
@@ -491,6 +459,7 @@ pub fn synthesize_limited(
             encoded: enc,
             stats: total,
             degraded,
+            quotient: false,
         })
     };
     match outcome {
@@ -550,6 +519,65 @@ pub fn synthesize_limited(
     }
 }
 
+/// Bool phase hints and int value hints for one encoding's variables.
+type StabilityHints = (Vec<(BoolId, bool)>, Vec<(IntId, i64)>);
+
+/// Stability hints seeding a re-solve from `previous`: every instruction
+/// deployment variable of `enc` is hinted to whether the previous placement
+/// ran that instruction on that switch, and every extern-count variable to
+/// the switch's previous shard size. The solver branches to these values
+/// first where the constraints still admit them, so a re-plan moves only
+/// what it must. Switches are matched by name, so `topo` may be a degraded
+/// copy of the one `previous` was solved on. Both vectors are empty without
+/// a previous placement.
+fn stability_hints(enc: &Encoded, topo: &Topology, previous: Option<&Placement>) -> StabilityHints {
+    let Some(prev) = previous else {
+        return (Vec::new(), Vec::new());
+    };
+    let plan = |sw: SwitchId| prev.switches.get(&topo.switch(sw).name);
+    let bools = enc
+        .instr_var
+        .iter()
+        .map(|((alg, sw, instr), &var)| {
+            let was_there = plan(*sw)
+                .and_then(|p| p.instrs.get(alg))
+                .is_some_and(|is| is.contains(instr));
+            (var, was_there)
+        })
+        .collect();
+    let ints = enc
+        .extern_var
+        .iter()
+        .map(|((e, sw), &var)| {
+            let count = plan(*sw)
+                .and_then(|p| p.extern_entries.get(e))
+                .copied()
+                .unwrap_or(0);
+            (var, count as i64)
+        })
+        .collect();
+    (bools, ints)
+}
+
+/// True when `previous` places the same instructions and the same extern
+/// shard sizes on every member of each class — the only priors whose
+/// stability hints a quotient solve can honor, since replication gives
+/// every member its representative's assignment. Every quotient-solved
+/// placement is uniform; a prior that is not stays on the monolithic path.
+fn uniform_across(previous: &Placement, topo: &Topology, classes: &[Vec<SwitchId>]) -> bool {
+    let footprint = |sw: SwitchId| {
+        previous
+            .switches
+            .get(&topo.switch(sw).name)
+            .map(|p| (&p.instrs, &p.extern_entries))
+            .filter(|(instrs, entries)| !instrs.is_empty() || !entries.is_empty())
+    };
+    classes.iter().all(|class| {
+        let rep = footprint(class[0]);
+        class[1..].iter().all(|&sw| footprint(sw) == rep)
+    })
+}
+
 /// Quotient solving: collapse every interchangeable-switch class to its
 /// smallest member, solve the (much smaller) quotient encoding, replicate
 /// the representative's assignment onto every class member, and verify the
@@ -558,13 +586,19 @@ pub fn synthesize_limited(
 /// disqualifies the attempt — the caller falls back to the monolithic
 /// solve, so this path never changes what is solvable, only how fast.
 ///
+/// A `previous` placement (uniform across `classes`, which the caller
+/// checks) seeds the quotient solve through [`stability_hints`] on the
+/// quotient encoding: each representative carries its class's shared
+/// prior, so the replicated result keeps what the prior kept.
+///
 /// Soundness does not rest on the class analysis: whatever the quotient
 /// produces is accepted *only* after the full model check passes, so a
 /// wrong class could at worst waste the quotient solve. The class analysis
 /// (`lyra_topo::symmetry`) exists to make the check overwhelmingly likely
 /// to pass: verified transpositions map constraints to constraints, so a
 /// per-class-constant assignment satisfying the quotient constraints
-/// satisfies the full path/resource families too.
+/// satisfies the full path/resource families too. The full model is
+/// encoded only once the quotient solve has returned `Sat`.
 ///
 /// The quotient encodes with symmetry breaking *off*: lex tie-breaking aux
 /// variables are internal to the monolithic encoding and are not recorded
@@ -578,6 +612,7 @@ fn try_quotient(
     opts: &EncodeOptions,
     backend: &Backend,
     strategy: SolverStrategy,
+    previous: Option<&Placement>,
     limits: &SynthLimits,
     classes: &[Vec<SwitchId>],
 ) -> (Option<SynthResult>, SearchStats) {
@@ -627,18 +662,16 @@ fn try_quotient(
 
     let mut q_opts = opts.clone();
     q_opts.symmetry_breaking = false;
-    let Ok(full) = encode(ir, topo, scopes, &q_opts) else {
-        return (None, SearchStats::default());
-    };
     let Ok(q_enc) = encode(ir, topo, &q_scopes, &q_opts) else {
         return (None, SearchStats::default());
     };
+    let (hints, int_hints) = stability_hints(&q_enc, topo, previous);
 
     let (outcome, stats) = backend::solve_with_limits(
         &q_enc.model,
         None,
         backend,
-        &[],
+        &hints,
         strategy,
         &backend::SolveLimits {
             deadline: limits.deadline,
@@ -646,13 +679,16 @@ fn try_quotient(
             aggressive_restarts: false,
             decomposition: true,
             warm: limits.warm.clone(),
-            int_hints: Vec::new(),
+            int_hints,
         },
     );
     let Outcome::Sat(q_sol) = outcome else {
         // Unknown → monolithic retry. Unsat is *not* propagated as a
         // refutation of the full problem: the quotient forces per-class-
         // uniform placements, a strictly stronger model.
+        return (None, stats);
+    };
+    let Ok(full) = encode(ir, topo, scopes, &q_opts) else {
         return (None, stats);
     };
 
@@ -703,6 +739,7 @@ fn try_quotient(
             encoded: full,
             stats,
             degraded: None,
+            quotient: true,
         }),
         SearchStats::default(),
     )

@@ -9,12 +9,19 @@
 //! under both profiles and asserts SAT/UNSAT (compiles vs infeasible)
 //! agreement, plus placement sanity when both succeed.
 //!
+//! A failover variant runs the same comparison on single-switch kills:
+//! `recompile_for_faults` seeded with one prior placement, under the
+//! accelerated profile (whose hinted re-solve takes the quotient path)
+//! and under the monolithic reference. Verdicts must agree, nothing may
+//! degrade, and the accelerated recompiles must move no more table entries
+//! in total than the reference.
+//!
 //! Randomness comes from a seeded xorshift generator (the workspace builds
 //! offline with no external crates), so every run explores the identical
 //! case set and failures reproduce from the printed case index.
 
 use lyra::{CompileError, CompileOutput, CompileRequest, Compiler, SolveProfile, SolverStrategy};
-use lyra_topo::fat_tree_pod;
+use lyra_topo::{fat_tree_pod, FaultSet};
 
 /// Deterministic xorshift64* PRNG.
 struct Rng(u64);
@@ -205,5 +212,116 @@ fn accelerated_profile_agrees_with_monolithic_reference() {
     assert!(
         infeasible >= 20,
         "only {infeasible} UNSAT agreements explored"
+    );
+}
+
+/// Recompile `prior` onto the pod minus `victim` under `profile`: entry
+/// churn, instruction churn, and whether the quotient path solved it.
+/// `None` when the survivors cannot host the program.
+fn recompile(
+    case: usize,
+    program: &str,
+    scopes: &str,
+    k: usize,
+    prior: &CompileOutput,
+    victim: &str,
+    profile: SolveProfile,
+) -> Option<(u64, usize, bool)> {
+    let topo = fat_tree_pod(k, "tofino-32q", "trident4");
+    let req = CompileRequest::new(program, scopes, topo).with_solve_profile(profile);
+    let faults = FaultSet::new().with_switch(victim);
+    match Compiler::new().recompile_for_faults(&req, prior, &faults) {
+        Ok(r) => {
+            assert!(
+                r.output.degraded.is_none(),
+                "case {case}: no limits set, no recompile may degrade"
+            );
+            Some((
+                r.diff.entry_churn(),
+                r.diff.total_churn(),
+                r.output.stats.quotient,
+            ))
+        }
+        Err(CompileError::Synth(_)) => None,
+        Err(e) => panic!("case {case}: unexpected recompile failure phase: {e}\n{program}"),
+    }
+}
+
+/// Single-switch failover recompiles: the accelerated profile and the
+/// monolithic reference, seeded with the same prior placement, agree on
+/// every verdict over ≥100 seeded fat-tree instances (k=4 and k=8), and
+/// the accelerated path's total entry churn is no worse.
+#[test]
+fn accelerated_failover_recompile_agrees_with_monolithic_reference() {
+    let mut rng = Rng::new(0xfa11_0ee5);
+    let mut instances = 0u64;
+    let mut placed = 0u64;
+    let mut quotient = 0u64;
+    let (mut fast_churn, mut reference_churn) = (0u64, 0u64);
+    for case in 0..160 {
+        let k = if case % 4 == 3 { 8 } else { 4 };
+        let program = gen_program(&mut rng);
+        let scopes = pod_scopes(k);
+        let layer = if rng.below(2) == 0 { "Agg" } else { "ToR" };
+        let victim = format!("{layer}{}", rng.range(1, k as u64 / 2));
+        // Priors the pod cannot host have nothing to fail over.
+        let Verdict::Placed(prior) = compile(case, &program, &scopes, k, SolveProfile::fast())
+        else {
+            continue;
+        };
+        instances += 1;
+        let fast = recompile(
+            case,
+            &program,
+            &scopes,
+            k,
+            &prior,
+            &victim,
+            SolveProfile::fast(),
+        );
+        let reference = recompile(
+            case,
+            &program,
+            &scopes,
+            k,
+            &prior,
+            &victim,
+            SolveProfile::thorough().with_strategy(SolverStrategy::Sequential),
+        );
+        match (fast, reference) {
+            (Some((fe, fi, q)), Some((re, ri, _))) => {
+                placed += 1;
+                quotient += u64::from(q);
+                println!(
+                    "case {case} (k={k}, kill {victim}): entry churn {fe} vs reference {re}, \
+                     instruction churn {fi} vs reference {ri}"
+                );
+                fast_churn += fe;
+                reference_churn += re;
+            }
+            (None, None) => println!("case {case} (k={k}, kill {victim}): infeasible on both"),
+            (Some(_), None) => panic!(
+                "case {case} (k={k}, kill {victim}): accelerated recompile placed what the \
+                 monolithic reference calls infeasible\n{program}"
+            ),
+            (None, Some(_)) => panic!(
+                "case {case} (k={k}, kill {victim}): accelerations lost a feasible \
+                 recompile\n{program}"
+            ),
+        }
+    }
+    println!(
+        "{instances} failover instances, {placed} placed ({quotient} on the quotient path): \
+         total entry churn {fast_churn} vs reference {reference_churn}"
+    );
+    assert!(instances >= 100, "only {instances} failover instances ran");
+    assert!(placed >= 80, "only {placed} feasible recompiles compared");
+    assert!(
+        2 * quotient >= placed,
+        "only {quotient} of {placed} accelerated recompiles took the quotient path"
+    );
+    assert!(
+        fast_churn <= reference_churn,
+        "accelerated recompiles moved {fast_churn} entries, the reference {reference_churn}"
     );
 }
